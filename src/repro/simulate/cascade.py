@@ -9,8 +9,11 @@ name-keyed caches of :class:`~repro.simulate.components.
 ComponentAllocator` can never see that (a 512-node sweep touches ~5000
 distinct endpoint pairs, so a name-keyed memo hits ~never).
 
-:class:`SolveMemo` closes the gap by hashing each dirty component into a
-**canonical form** that strips the names:
+:class:`SolveMemo` closes the gap by hashing each dirty multi-flow
+component below :data:`~repro.simulate.vectorized.VECTOR_MIN_FLOWS` flows
+into a **canonical form** that strips the names (larger components almost
+never repeat a shape; they run straight on the persistent flat form the
+allocator keeps for them, which a hit could only replay):
 
 * resources are renumbered in first-appearance order over the members'
   paths — exactly the numbering :func:`~repro.simulate.vectorized.

@@ -411,6 +411,8 @@ class Simulation:
             if calloc.last_parallel_solves:
                 perf.parallel_solves += calloc.last_parallel_solves
                 perf.pool_dispatch_wall += calloc.last_pool_wall
+            if calloc.last_large_lowerings:
+                perf.large_lowerings += calloc.last_large_lowerings
             if calloc.last_component_size_max > perf.component_size_max:
                 perf.component_size_max = calloc.last_component_size_max
             n_comp = calloc.component_count
@@ -1035,6 +1037,8 @@ class Simulation:
                         if calloc.last_parallel_solves:
                             perf.parallel_solves += calloc.last_parallel_solves
                             perf.pool_dispatch_wall += calloc.last_pool_wall
+                        if calloc.last_large_lowerings:
+                            perf.large_lowerings += calloc.last_large_lowerings
                         if calloc.last_component_size_max > size_max:
                             size_max = calloc.last_component_size_max
                         n_comp = calloc.component_count

@@ -61,6 +61,11 @@ class SimPerf:
     #: multi-flow component solves answered by the canonical-shape memo
     #: (see repro.simulate.cascade) instead of re-entering a kernel
     memo_hits: int = 0
+    #: full lowerings of a large component (≥ VECTOR_MIN_FLOWS flows)
+    #: into its persistent flat form — once when it first turns up large,
+    #: again only after it splits; every other large solve reuses the form
+    #: that add/remove keep current
+    large_lowerings: int = 0
     #: fast-forwarded completion runs: maximal stretches of ≥ 2
     #: consecutive completion events the fused engine loop processed
     #: without returning to the general event loop
@@ -120,6 +125,7 @@ class SimPerf:
             "vectorized_solves": self.vectorized_solves,
             "parallel_solves": self.parallel_solves,
             "memo_hits": self.memo_hits,
+            "large_lowerings": self.large_lowerings,
             "fastforward_cascades": self.fastforward_cascades,
             "cascade_events": self.cascade_events,
             "settles": self.settles,

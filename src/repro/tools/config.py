@@ -169,6 +169,11 @@ DEFAULT_COST_CONTRACTS: dict[str, str] = {
     "repro.simulate.components.ComponentAllocator.add": "O(deg)",
     "repro.simulate.components.ComponentAllocator.remove": "O(deg)",
     "repro.simulate.components.ComponentAllocator.concurrency": "O(1)",
+    # the persistent flat form of a large component follows each add /
+    # remove / absorbed flow with one path's worth of index updates
+    "repro.simulate.components._FlatForm.append": "O(deg)",
+    "repro.simulate.components._FlatForm.discard": "O(deg)",
+    "repro.simulate.components._FlatForm._count": "O(1)",
     # dirty-set re-solve: linear in the dirty components plus their sort
     "repro.simulate.components.ComponentAllocator.solve": "O(n log n)",
     "repro.simulate.components.ComponentAllocator._dirty_groups": "O(n)",

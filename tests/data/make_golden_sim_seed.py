@@ -68,6 +68,18 @@ def records_digest(result) -> str:
     return h.hexdigest()
 
 
+def write_records_digest(result) -> str:
+    h = hashlib.sha256()
+    for r in sorted(result.records, key=lambda r: r.seq):
+        h.update(
+            repr(
+                (r.seq, r.writer_rank, r.writer_node, str(r.chunk),
+                 r.pipeline, r.issue_time, r.end_time)
+            ).encode()
+        )
+    return h.hexdigest()
+
+
 def run_entry(result) -> dict:
     return {
         "makespan": repr(result.makespan),
@@ -97,7 +109,12 @@ def _build() -> dict:
         rank_interval_assignment,
         tasks_from_dataset,
     )
-    from repro.dfs import ClusterSpec, DistributedFileSystem, uniform_dataset
+    from repro.dfs import (
+        ClusterSpec,
+        DistributedFileSystem,
+        HdfsWriterLocalPlacement,
+        uniform_dataset,
+    )
     from repro.dfs.chunk import MB
     from repro.experiments.dynamic import run_dynamic_comparison
     from repro.experiments.paraview import run_paraview_comparison
@@ -140,6 +157,24 @@ def _build() -> dict:
     golden["ingest_8"] = {
         "makespan": repr(res.makespan),
         "writes": {k: repr(v) for k, v in res.write_stats().items()},
+    }
+
+    # 64 writer-local r=3 pipelines chain into components well past the
+    # numpy-kernel cutoff (VECTOR_MIN_FLOWS), unlike the 8-writer pin.
+    fs = DistributedFileSystem(
+        ClusterSpec.homogeneous(64), replication=3,
+        placement=HdfsWriterLocalPlacement(), seed=3,
+    )
+    res = DatasetIngest(
+        fs,
+        ProcessPlacement.one_per_node(64),
+        uniform_dataset("ing", 320),
+        seed=3,
+    ).run()
+    golden["ingest_64_r3"] = {
+        "makespan": repr(res.makespan),
+        "writes": {k: repr(v) for k, v in res.write_stats().items()},
+        "digest": write_records_digest(res),
     }
 
     fs = DistributedFileSystem(ClusterSpec.homogeneous(8), replication=3, seed=5)

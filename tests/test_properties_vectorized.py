@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.simulate.components import ComponentAllocator
@@ -214,9 +215,61 @@ def _random_resources(rng: random.Random, n: int):
     return out
 
 
+def _pipeline_resources(rng: random.Random, nodes: int):
+    """Per-node disk / NIC-out / NIC-in resources (``3 * nodes`` of them)."""
+    out = {}
+    for n in range(nodes):
+        for kind, cap in (("disk", 80e6), ("tx", 125e6), ("rx", 125e6)):
+            name = f"{kind}{n}"
+            out[name] = Resource(
+                name=name,
+                capacity=cap * rng.choice([1.0, 1.0, 0.5]),
+                concurrency_penalty=rng.choice([0.0, 0.05, 0.5]),
+            )
+    return out
+
+
+def _pipeline_path(rng: random.Random, chain: list[int]) -> tuple[str, ...]:
+    """A write pipeline over ``chain``'s nodes, like ``pipeline_path``:
+    the writer's disk when the first replica is local (3-7 resources for
+    a 2-3 node chain), then per further replica the sender's NIC-out, the
+    receiver's NIC-in and its disk."""
+    path = [f"disk{chain[0]}"] if rng.random() < 0.7 else []
+    for a, b in zip(chain, chain[1:]):
+        path += [f"tx{a}", f"rx{b}", f"disk{b}"]
+    return tuple(path)
+
+
+def _assert_same_solve(auto, ref, with_out: bool):
+    """One solve on each allocator: bit-identical rates and bookkeeping."""
+    if with_out:
+        size = max(auto._next_fid, 1)
+        got_arr = np.full(size, -1.0)
+        want_arr = np.full(size, -1.0)
+        auto.solve(out=got_arr)
+        ref.solve(out=want_arr)
+        assert got_arr.tobytes() == want_arr.tobytes()
+    else:
+        got = auto.solve()
+        want = ref.solve()
+        assert list(got) == list(want)
+        assert [r.hex() for r in got.values()] == [r.hex() for r in want.values()]
+    assert auto.last_changed == ref.last_changed
+    assert auto.last_iterations == ref.last_iterations
+    assert auto.last_component_solves == ref.last_component_solves
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_allocator_auto_vs_reference_kernel_churn(seed):
-    """Auto-kernel allocator == reference-kernel allocator through churn."""
+    """Auto-kernel allocator == reference-kernel allocator through churn.
+
+    Two phases per seed: random 1-3 resource paths over 12 resources
+    (small components), then pipeline-shaped 3-7 resource paths over 42
+    resources, so components grow past ``VECTOR_MIN_FLOWS`` and shrink
+    back, churn while large, absorb small components and split — the
+    churn the persistent flat forms of large components must track
+    exactly.
+    """
     rng = random.Random(1000 + seed)
     resources = _random_resources(rng, 12)
     names = list(resources)
@@ -239,12 +292,108 @@ def test_allocator_auto_vs_reference_kernel_churn(seed):
             auto.add(f)
             ref.add(f)
         if rng.random() < 0.5:
-            got = auto.solve()
-            want = ref.solve()
-            assert got == want
-            assert auto.last_iterations == ref.last_iterations
-            assert auto.last_component_solves == ref.last_component_solves
-    assert auto.solve() == ref.solve()
+            _assert_same_solve(auto, ref, with_out=False)
+    _assert_same_solve(auto, ref, with_out=False)
+
+    # Nodes 0-7 carry the pipelines that chain into one large component
+    # (live target swinging between 40 and 4); nodes 8-13 carry a few
+    # short pipelines (small components); short-lived bridges between the
+    # two make the large component absorb small ones and, when a bridge
+    # leaves, split again.
+    nodes = 14
+    for name, r in _pipeline_resources(rng, nodes).items():
+        auto.register(name, r)
+        ref.register(name, r)
+    pools: dict[str, list[Flow]] = {"big": [], "small": [], "bridge": []}
+
+    def start(pool: str, chain: list[int]) -> None:
+        cap = rng.choice([None, 60e6, 60e6, 40e6])
+        f = Flow(size=1.0, path=_pipeline_path(rng, chain), rate_cap=cap)
+        pools[pool].append(f)
+        auto.add(f)
+        ref.add(f)
+
+    def finish(pool: str) -> None:
+        flows = pools[pool]
+        f = flows.pop(rng.randrange(len(flows)))
+        auto.remove(f)
+        ref.remove(f)
+
+    large_solves = 0
+    lowerings = 0
+    for step in range(600):
+        target = 40 if (step // 150) % 2 == 0 else 4
+        u = rng.random()
+        if pools["bridge"] and u < 0.12:
+            finish("bridge")
+        elif u < 0.2:
+            start("bridge", [rng.randrange(8), rng.randrange(8, nodes)])
+        elif u < 0.35:
+            if len(pools["small"]) < 6:
+                start("small", rng.sample(range(8, nodes), 2))
+            else:
+                finish("small")
+        elif len(pools["big"]) > target or (pools["big"] and u > 0.85):
+            finish("big")
+        else:
+            start("big", rng.sample(range(8), rng.randint(2, 3)))
+        if rng.random() < 0.6:
+            _assert_same_solve(auto, ref, with_out=bool(step % 2))
+            large_solves += auto.last_vectorized_solves
+            lowerings += auto.last_large_lowerings
+    _assert_same_solve(auto, ref, with_out=True)
+    # The pipeline phase really exercised the large-component path, and
+    # re-lowered far less often than it solved.
+    assert large_solves > 0
+    assert 0 < lowerings < large_solves
+
+
+@pytest.mark.parametrize("lowered_before_merge", [True, False])
+def test_allocator_coarse_merge_matches_reference(lowered_before_merge):
+    """A shrunk component absorbed before the next solve is not marked
+    shrunk (the merge is solved as one group until its next shrink); that
+    next shrink must then split off *every* stray piece, including ones
+    far from the flow that left — with or without a flat form already
+    built for the large side at merge time."""
+    resources = {
+        name: Resource(name=name, capacity=100.0, concurrency_penalty=0.05)
+        for name in ["hub", "p", "q", "r", "t"] + [f"own{i}" for i in range(40)]
+    }
+    auto = ComponentAllocator()
+    ref = ComponentAllocator(kernel="reference")
+    for name, res in resources.items():
+        auto.register(name, res)
+        ref.register(name, res)
+
+    def add(*path):
+        f = Flow(size=1.0, path=path)
+        auto.add(f)
+        ref.add(f)
+        return f
+
+    def remove(f):
+        auto.remove(f)
+        ref.remove(f)
+
+    def grow_big():
+        return [add("hub", f"own{i}") for i in range(VECTOR_MIN_FLOWS + 1)]
+
+    if lowered_before_merge:
+        big = grow_big()
+        _assert_same_solve(auto, ref, with_out=False)
+        assert auto.last_large_lowerings == 1
+    add("p", "q")
+    middle = add("q", "r")
+    add("r", "t")
+    _assert_same_solve(auto, ref, with_out=False)
+    if not lowered_before_merge:
+        big = grow_big()  # large, but no flat form until the next solve
+    remove(middle)  # {p-q} and {r-t} now disconnected, unsolved
+    add("hub", "p")  # bridge: the large component absorbs both pieces
+    _assert_same_solve(auto, ref, with_out=True)
+    remove(big[0])  # shrinks the large side far from the stray {r-t}
+    _assert_same_solve(auto, ref, with_out=True)
+    assert auto.component_count == ref.component_count == 2
 
 
 def test_allocator_counts_vectorized_solves():

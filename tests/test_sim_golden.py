@@ -146,6 +146,48 @@ def test_ingest_bitwise(pinned):
     assert {k: repr(v) for k, v in res.write_stats().items()} == g["writes"]
 
 
+def write_records_digest(result):
+    h = hashlib.sha256()
+    for r in sorted(result.records, key=lambda r: r.seq):
+        h.update(
+            repr(
+                (r.seq, r.writer_rank, r.writer_node, str(r.chunk),
+                 r.pipeline, r.issue_time, r.end_time)
+            ).encode()
+        )
+    return h.hexdigest()
+
+
+def test_ingest_large_components_bitwise():
+    """64 writer-local r=3 pipelines: components cross the numpy-kernel
+    cutoff, so this pins the large-component solve path the 8-writer
+    fixture never reaches (default engine only — the seed file predates
+    the fixture)."""
+    from repro.core import ProcessPlacement
+    from repro.dfs import (
+        ClusterSpec,
+        DistributedFileSystem,
+        HdfsWriterLocalPlacement,
+        uniform_dataset,
+    )
+    from repro.simulate import DatasetIngest
+
+    fs = DistributedFileSystem(
+        ClusterSpec.homogeneous(64), replication=3,
+        placement=HdfsWriterLocalPlacement(), seed=3,
+    )
+    ing = DatasetIngest(
+        fs, ProcessPlacement.one_per_node(64), uniform_dataset("ing", 320),
+        seed=3,
+    )
+    res = ing.run()
+    assert ing.sim.perf.vectorized_solves > 0
+    g = GOLDEN_COMPONENT["ingest_64_r3"]
+    assert repr(res.makespan) == g["makespan"]
+    assert {k: repr(v) for k, v in res.write_stats().items()} == g["writes"]
+    assert write_records_digest(res) == g["digest"]
+
+
 def _faults_run():
     from repro.core import (
         ProcessPlacement,

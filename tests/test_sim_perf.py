@@ -139,3 +139,60 @@ class TestRunnerWiring:
         assert result.sim_perf["solves"] > 0
         summary = run_summary(result)
         assert summary["sim_perf"]["events"] > 0
+
+
+def test_large_lowerings_are_first_sightings_plus_splits():
+    """A large component is lowered into its flat form when first solved
+    large and again only after it splits — never per event.
+
+    The expectation is derived from outside the allocator: after every
+    solve, each re-solved component of at least ``VECTOR_MIN_FLOWS``
+    flows either continues the one its id named at its previous large
+    solve (no lowering), or is new / was solved small in between (a
+    first sighting), or lost surviving flows to another component (a
+    split).  A return to per-event re-lowering fails on the count.
+    """
+    from repro.dfs import HdfsWriterLocalPlacement
+    from repro.simulate import DatasetIngest
+    from repro.simulate.vectorized import VECTOR_MIN_FLOWS
+
+    fs = DistributedFileSystem(
+        ClusterSpec.homogeneous(64), replication=3,
+        placement=HdfsWriterLocalPlacement(), seed=0,
+    )
+    ing = DatasetIngest(
+        fs, ProcessPlacement.one_per_node(64), uniform_dataset("ing", 640),
+        seed=0,
+    )
+    alloc = ing.sim._calloc
+    last_large: dict[int, set] = {}
+    first = splits = 0
+    solve = alloc.solve
+
+    def observed_solve(out=None):
+        nonlocal first, splits
+        result = solve(out=out)
+        flow_at = {fid: f for f, fid in alloc._id_of.items()}
+        solved: dict[int, list] = {}
+        for fid in alloc.last_changed:
+            f = flow_at[fid]
+            solved.setdefault(alloc._comp_of[f], []).append(f)
+        for cid, members in solved.items():
+            if len(members) < VECTOR_MIN_FLOWS:
+                last_large.pop(cid, None)
+                continue
+            prev = last_large.get(cid)
+            if prev is None:
+                first += 1
+            elif any(alloc._comp_of.get(f, cid) != cid for f in prev):
+                splits += 1
+            last_large[cid] = set(members)
+        return result
+
+    alloc.solve = observed_solve
+    ing.run()
+    perf = ing.sim.perf
+    assert first >= 1 and splits >= 1
+    assert perf.large_lowerings == first + splits
+    assert perf.large_lowerings * 100 < perf.vectorized_solves
+    assert perf.snapshot()["large_lowerings"] == perf.large_lowerings
