@@ -12,9 +12,12 @@ All functions are vectorised over ``k``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import stats
+
+if TYPE_CHECKING:
+    from scipy.stats._distn_infrastructure import rv_discrete_frozen
 
 #: The cluster sizes plotted in Figure 3.
 FIGURE3_CLUSTER_SIZES = (64, 128, 256, 512)
@@ -40,8 +43,10 @@ def local_read_probability(replication: int, num_nodes: int) -> float:
 
 def local_chunks_distribution(
     num_chunks: int, replication: int, num_nodes: int
-) -> stats.rv_discrete:
+) -> rv_discrete_frozen:
     """The Binomial(n, r/m) law of the number of locally-readable chunks."""
+    from scipy import stats
+
     _validate(num_chunks, replication, num_nodes)
     return stats.binom(num_chunks, replication / num_nodes)
 
