@@ -41,7 +41,9 @@ from .astutils import annotation_roots, dotted, iter_arguments
 #: v3: LocalSummary gained the cost lattice (``allocs``/``call_axes``);
 #: the OPS300 cost-contract pass contributes to cached check results,
 #: and check keys gained the check-config + per-module contract digests.
-ANALYZER_VERSION = 3
+#: v4: LocalSummary lost ``global_writes`` with the fork-safety rule, and
+#: the concurrency pass runs OPS203 only.
+ANALYZER_VERSION = 4
 
 
 @dataclass

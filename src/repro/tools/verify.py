@@ -1,10 +1,10 @@
 """``opass-verify``: interprocedural analysis front end.
 
 ``python -m repro.tools.verify [paths...]`` runs the OPS101–OPS103
-rules (determinism taint, unit checking, scheduler purity), the
-OPS201–OPS204 concurrency/float-identity rules
-(:mod:`repro.tools.concurrency`) and the OPS301–OPS304 cost-contract
-rules (:mod:`repro.tools.costmodel`) over a whole tree at once, because
+rules (determinism taint, unit checking, scheduler purity), the OPS203
+float-identity rule (:mod:`repro.tools.concurrency`) and the
+OPS301–OPS304 cost-contract rules (:mod:`repro.tools.costmodel`) over a
+whole tree at once, because
 unlike :mod:`repro.tools.checks` these rules need *project-wide*
 call-graph summaries: a violation may only be visible two or three call
 levels away from the code that commits it.
@@ -246,9 +246,7 @@ def verify_paths(
             raw_by_path[path] = [_decode_violation(d, path) for d in cached]
             continue
         raw = check_module_interproc(decl, project_summaries, config)
-        raw += check_module_concurrency(
-            decl, project_summaries, config, source=source
-        )
+        raw += check_module_concurrency(decl, config, source=source)
         raw += check_module_cost(decl, project_summaries, costs, config)
         cache.store_checks(key, sig, [v.as_dict() for v in raw])
         raw_by_path[path] = raw
@@ -289,7 +287,7 @@ def verify_source(
     summaries = resolve_summaries(project, local)
     costs = resolve_costs(summaries, config)
     raw = check_module_interproc(decl, summaries, config)
-    raw += check_module_concurrency(decl, summaries, config, source=source)
+    raw += check_module_concurrency(decl, config, source=source)
     raw += check_module_cost(decl, summaries, costs, config)
     return apply_suppressions(raw, source, path, tool=TOOL)
 
@@ -364,8 +362,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.tools.verify",
         description=(
             "opass-verify: interprocedural determinism-taint, unit, "
-            "scheduler-purity (OPS101-OPS103), concurrency/"
-            "float-identity (OPS201-OPS204) and cost-contract "
+            "scheduler-purity (OPS101-OPS103), float-identity "
+            "(OPS203) and cost-contract "
             "(OPS301-OPS304) analysis"
         ),
     )

@@ -1,11 +1,13 @@
-"""Cold start: importing the package must not load scipy.
+"""Cold start: importing the package must not load scipy or multiprocessing.
 
 Only the §III analytical models (``repro.analysis.balance`` and
 ``repro.analysis.locality``) use ``scipy.stats``, and they import it on
 first call.  Every run path — the package root, the CLI, the report
 builder and each module the end-to-end benchmark's child process
 imports — must stay scipy-free, since importing ``scipy.stats`` costs
-more than a small run's DFS set-up and matching together.
+more than a small run's DFS set-up and matching together.  The simulator
+runs in one process, so no run path may load ``multiprocessing`` either
+(it drags in ``socket``, ``subprocess`` and shared-memory support).
 
 Both checks run in a fresh interpreter, because the pytest process has
 already imported scipy.  No wall clock is read: the gate is which
@@ -46,6 +48,9 @@ import sys
 for name in MODULES:
     importlib.import_module(name)
 scipy_on_import = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+mp_on_import = sorted(
+    m for m in sys.modules if m.split(".")[0].lstrip("_") == "multiprocessing"
+)
 
 import numpy as np
 
@@ -117,6 +122,7 @@ want["validation"] = [float(stats.binom(16, 1.0 / 8).std()).hex()]
 
 print(json.dumps({
     "scipy_on_import": scipy_on_import,
+    "mp_on_import": mp_on_import,
     "scipy_after_models": scipy_after_models,
     "frozen": [isinstance(d, rv_discrete_frozen) for d in dists],
     "got": got,
@@ -144,6 +150,7 @@ def run_cold() -> dict:
 def test_run_path_is_scipy_free_and_models_load_it_lazily():
     out = run_cold()
     assert out["scipy_on_import"] == []
+    assert out["mp_on_import"] == []
     assert out["scipy_after_models"]
     assert out["frozen"] == [True, True, True]
     assert out["got"].keys() == out["want"].keys()
